@@ -1,7 +1,7 @@
 //! Schema-validating reader for `dreamplace-core` flow checkpoints.
 //!
 //! Deliberately independent of the writer/reader pair in
-//! `dreamplace_core::checkpoint` — this module re-derives the `DPCKPT v1`
+//! `dreamplace_core::checkpoint` — this module re-derives the `DPCKPT v2`
 //! format from its documented grammar with its own tokenizer and its own
 //! (table-driven, rather than bitwise) CRC32, so an encode bug cannot hide
 //! behind a shared implementation. The checks, in order:
@@ -13,12 +13,14 @@
 //!    arity and token types for its position in the stage-specific
 //!    grammar, ending in a single `end` with nothing after it;
 //! 3. cross-field invariants: `movable <= cells`, every parameter/solver
-//!    vector is `2 x movable` long, every placement is `cells` long with
-//!    matching x/y lengths, the GP history is strictly increasing and
-//!    stays below the next-iteration counter, the scheduler iteration
-//!    never exceeds the engine iteration, rollback state points inside
-//!    the recorded history, workspace reuses never exceed uses, and DP
-//!    pass indices are in range.
+//!    vector and the carried density gradient is `2 x movable` long, the
+//!    density term has a gradient exactly when it has one energy value,
+//!    every placement is `cells` long with matching x/y lengths, the GP
+//!    history is strictly increasing and stays below the next-iteration
+//!    counter, the scheduler iteration never exceeds the engine
+//!    iteration, rollback state points inside the recorded history,
+//!    workspace reuses never exceed uses, and DP pass indices are in
+//!    range.
 //!
 //! The CLI exposes this as `dreamplace checkpoint-check <file|dir>`; the
 //! CI crash-resume job runs it on the checkpoint left behind by an
@@ -30,7 +32,7 @@ use std::path::Path;
 /// Version this validator understands (kept in lockstep with
 /// `dreamplace_core::checkpoint::VERSION` through the cross-validation
 /// tests).
-pub const SUPPORTED_VERSION: u32 = 1;
+pub const SUPPORTED_VERSION: u32 = 2;
 
 /// Why a checkpoint failed validation.
 #[derive(Debug)]
@@ -256,8 +258,9 @@ impl<'a> Cur<'a> {
     }
 
     /// `vec <name> <len> <floats...>` with the expected length, or
-    /// (when `optional`) `vec <name> none`. Returns the length read.
-    fn vec(&mut self, name: &str, want_len: usize, optional: bool) -> Result<usize, CkptError> {
+    /// (when `optional`) `vec <name> none`. Returns whether the vector
+    /// was present.
+    fn vec(&mut self, name: &str, want_len: usize, optional: bool) -> Result<bool, CkptError> {
         let toks = self.rec("vec")?;
         let found = self.field(&toks, 1)?;
         if found != name {
@@ -265,7 +268,7 @@ impl<'a> Cur<'a> {
         }
         if optional && self.field(&toks, 2)? == "none" {
             self.arity(&toks, 3)?;
-            return Ok(0);
+            return Ok(false);
         }
         let len = self.usize(&toks, 2)?;
         if len != want_len {
@@ -277,7 +280,7 @@ impl<'a> Cur<'a> {
         for i in 0..len {
             self.f64(&toks, 3 + i)?;
         }
-        Ok(len)
+        Ok(true)
     }
 
     /// A placement: `<prefix>.x` and `<prefix>.y`, both `cells` long.
@@ -630,12 +633,14 @@ fn exec(cur: &mut Cur<'_>) -> Result<(), CkptError> {
 
 fn gp_stats(cur: &mut Cur<'_>) -> Result<(), CkptError> {
     let toks = cur.rec("gp.stats")?;
-    cur.arity(&toks, 6)?;
+    cur.arity(&toks, 8)?;
     cur.usize(&toks, 1)?;
     cur.f64(&toks, 2)?;
     cur.f64(&toks, 3)?;
     cur.flag(&toks, 4)?;
-    cur.usize(&toks, 5)?;
+    for i in 5..=7 {
+        cur.usize(&toks, i)?;
+    }
     let toks = cur.rec("gp.timing")?;
     cur.arity(&toks, 7)?;
     for i in 1..=6 {
@@ -726,12 +731,13 @@ fn gp_stage(cur: &mut Cur<'_>, cells: usize, dim: usize) -> Result<usize, CkptEr
     }
 
     let toks = cur.rec("eng.counters")?;
-    cur.arity(&toks, 6)?;
+    cur.arity(&toks, 7)?;
     let next_iter = cur.usize(&toks, 1)?;
     cur.usize(&toks, 2)?;
     cur.usize(&toks, 3)?;
     cur.usize(&toks, 4)?;
     let sched_iteration = cur.usize(&toks, 5)?;
+    cur.usize(&toks, 6)?;
     // The λ scheduler advances at most once per engine iteration.
     if sched_iteration > next_iter {
         return Err(cur.err(format!(
@@ -748,6 +754,12 @@ fn gp_stage(cur: &mut Cur<'_>, cells: usize, dim: usize) -> Result<usize, CkptEr
     cur.vec("params", dim, false)?;
     cur.vec("best", dim, false)?;
     solver(cur, "solver", dim)?;
+    // The carried density term: a gradient and its energy, or neither.
+    let has_grad = cur.vec("dterm.grad", dim, true)?;
+    let has_energy = cur.vec("dterm.energy", 1, true)?;
+    if has_grad != has_energy {
+        return Err(cur.err("density term needs both a gradient and an energy, or neither"));
+    }
     let hist = history(cur, "eng.hist")?;
     if hist.last().is_some_and(|&last| last >= next_iter) {
         return Err(cur.err(format!(

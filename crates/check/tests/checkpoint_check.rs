@@ -5,7 +5,9 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use dp_check::checkpoint::{validate_checkpoint_file, validate_checkpoint_str, CkptError};
+use dp_check::checkpoint::{
+    validate_checkpoint_file, validate_checkpoint_str, CkptError, SUPPORTED_VERSION,
+};
 use dreamplace_core::{
     checkpoint, CheckpointPolicy, DreamPlacer, DurableOutcome, FlowConfig, FlowFaultInjection,
     FlowState, ToolMode,
@@ -103,10 +105,11 @@ fn independent_reader_rejects_truncation_version_skew_and_foreign_files() {
         Err(CkptError::Crc { .. }) => {}
         other => panic!("want Crc on truncation, got {other:?}"),
     }
-    match validate_checkpoint_str(&text.replacen("DPCKPT v1", "DPCKPT v9", 1)) {
+    let header = format!("DPCKPT v{SUPPORTED_VERSION}");
+    match validate_checkpoint_str(&text.replacen(&header, "DPCKPT v9", 1)) {
         Err(CkptError::Version {
             found: 9,
-            supported: 1,
+            supported: SUPPORTED_VERSION,
         }) => {}
         other => panic!("want Version, got {other:?}"),
     }

@@ -10,14 +10,14 @@
 //!   identical bits), plus `NaN`/`inf`/`-inf` tokens;
 //! * bulk `vec` records use the raw IEEE-754 bit pattern, `x`-prefixed
 //!   hex (`x3fe5551d68c692aa`) — exact by construction and ~5x faster to
-//!   emit and parse, which is what keeps mid-GP checkpoints (eleven
-//!   solver/rollback vectors, ~9k floats) inside the < 5% wall-clock
+//!   emit and parse, which is what keeps mid-GP checkpoints (twelve
+//!   solver/rollback/density vectors, ~10k floats) inside the < 5% wall-clock
 //!   overhead budget.
 //!
 //! Readers accept either float form in any position.
 //!
 //! ```text
-//! DPCKPT v1
+//! DPCKPT v2
 //! crc 0x1a2b3c4d            <- CRC32 (poly 0xEDB88320) of everything below
 //! design <cells> <movable> <nets> <name>
 //! stage gp|lg|dp
@@ -44,8 +44,10 @@ use std::path::{Path, PathBuf};
 
 use dp_autograd::{ExecSummary, OpCounter, WorkspaceCounter};
 use dp_dplace::{DpGuardReport, DpPass, DpRunState};
-use dp_gp::{DivergenceCause, GpEngineState, GpRollbackState, GpStats, GpTiming, IterRecord,
-    RecoveryEvent};
+use dp_gp::{
+    DensityTerm, DivergenceCause, GpEngineState, GpRollbackState, GpStats, GpTiming, IterRecord,
+    RecoveryEvent,
+};
 use dp_lg::{LgFallback, LgStats};
 use dp_netlist::Placement;
 use dp_num::Float;
@@ -59,7 +61,7 @@ use crate::machine::{CheckpointData, CheckpointStage, DesignStamp, GpAttemptStat
 /// Magic first line; bump the version on any layout change.
 pub const MAGIC: &str = "DPCKPT";
 /// Current format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 /// File name inside a checkpoint directory.
 pub const FILE_NAME: &str = "flow.ckpt";
 
@@ -278,8 +280,8 @@ fn push_float<T: Float>(out: &mut String, v: T) {
 /// lowercase hex (`x3fe5551d68c692aa`). Bulk `vec` records use this form:
 /// it is exact by construction (including NaN payload and signed-zero
 /// bits), and both emitting and parsing are ~5x faster than decimal —
-/// which is what keeps mid-GP checkpoints (eleven solver/rollback vectors,
-/// ~9k floats) inside the < 5% overhead budget. Scalar records stay
+/// which is what keeps mid-GP checkpoints (twelve solver/rollback/density
+/// vectors, ~10k floats) inside the < 5% overhead budget. Scalar records stay
 /// decimal for readability; readers accept either form anywhere.
 fn push_f64_bits(out: &mut String, v: f64) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
@@ -506,7 +508,14 @@ fn push_gp_stats(out: &mut String, s: &GpStats) {
     push_f64(out, s.final_hpwl);
     out.push(' ');
     push_f64(out, s.final_overflow);
-    let _ = write!(out, " {} {}", u8::from(s.converged), s.recoveries);
+    let _ = write!(
+        out,
+        " {} {} {} {}",
+        u8::from(s.converged),
+        s.recoveries,
+        s.objective_evals,
+        s.line_search_backtracks
+    );
     out.push('\n');
     out.push_str("gp.timing");
     for d in [
@@ -656,12 +665,13 @@ pub fn serialize<T: Float>(data: &CheckpointData<T>) -> String {
             }
             let _ = writeln!(
                 p,
-                "eng.counters {} {} {} {} {}",
+                "eng.counters {} {} {} {} {} {}",
                 engine.next_iter,
                 engine.iterations,
                 engine.evals,
                 engine.recoveries,
-                engine.sched_iteration
+                engine.sched_iteration,
+                engine.line_search_backtracks
             );
             p.push_str("eng.scalars");
             for v in [
@@ -684,6 +694,13 @@ pub fn serialize<T: Float>(data: &CheckpointData<T>) -> String {
             push_vec(&mut p, "params", &engine.params);
             push_vec(&mut p, "best", &engine.best_params);
             push_solver(&mut p, &engine.solver, "solver");
+            let term = engine.density_term.as_ref();
+            push_opt_vec(&mut p, "dterm.grad", term.map(|t| &t.grad));
+            push_opt_vec(
+                &mut p,
+                "dterm.energy",
+                term.map(|t| vec![t.energy]).as_ref(),
+            );
             push_history(&mut p, "eng.hist", &engine.history);
             push_recoveries(&mut p, "eng.recov", &engine.recovery_events);
             let rb = &engine.rollback;
@@ -1046,6 +1063,8 @@ fn read_gp_stats(cur: &mut Cursor<'_>) -> Result<GpStats, CheckpointError> {
     let final_overflow = parse_f64(cur, need(cur, &toks, 3)?)?;
     let converged = parse_bool01(cur, need(cur, &toks, 4)?)?;
     let recoveries = parse_usize(cur, need(cur, &toks, 5)?)?;
+    let objective_evals = parse_usize(cur, need(cur, &toks, 6)?)?;
+    let line_search_backtracks = parse_usize(cur, need(cur, &toks, 7)?)?;
     let toks = cur.record("gp.timing")?;
     let mut secs = [0.0f64; 6];
     for (i, s) in secs.iter_mut().enumerate() {
@@ -1072,6 +1091,8 @@ fn read_gp_stats(cur: &mut Cursor<'_>) -> Result<GpStats, CheckpointError> {
         recoveries,
         recovery_events,
         exec,
+        objective_evals,
+        line_search_backtracks,
     })
 }
 
@@ -1349,6 +1370,7 @@ pub fn deserialize<T: Float>(text: &str) -> Result<CheckpointData<T>, Checkpoint
             let evals = parse_usize(&cur, need(&cur, &toks, 3)?)?;
             let recoveries = parse_usize(&cur, need(&cur, &toks, 4)?)?;
             let sched_iteration = parse_usize(&cur, need(&cur, &toks, 5)?)?;
+            let line_search_backtracks = parse_usize(&cur, need(&cur, &toks, 6)?)?;
             let toks = cur.record("eng.scalars")?;
             let lambda = parse_float::<T>(&cur, need(&cur, &toks, 1)?)?;
             let gamma = parse_float::<T>(&cur, need(&cur, &toks, 2)?)?;
@@ -1362,6 +1384,17 @@ pub fn deserialize<T: Float>(text: &str) -> Result<CheckpointData<T>, Checkpoint
             let params = read_vec::<T>(&mut cur, "params")?;
             let best_params = read_vec::<T>(&mut cur, "best")?;
             let solver = read_solver::<T>(&mut cur, "solver")?;
+            let dterm_grad = read_opt_vec::<T>(&mut cur, "dterm.grad")?;
+            let dterm_energy = read_opt_vec::<T>(&mut cur, "dterm.energy")?;
+            let density_term = match (dterm_grad, dterm_energy.as_deref()) {
+                (Some(grad), Some(&[energy])) => Some(DensityTerm { grad, energy }),
+                (None, None) => None,
+                _ => {
+                    return Err(cur.corrupt(
+                        "density term needs both a gradient and exactly one energy value",
+                    ))
+                }
+            };
             let history = read_history(&mut cur, "eng.hist")?;
             let recovery_events = read_recoveries(&mut cur, "eng.recov")?;
             let toks = cur.record("rollback")?;
@@ -1381,10 +1414,12 @@ pub fn deserialize<T: Float>(text: &str) -> Result<CheckpointData<T>, Checkpoint
                     next_iter,
                     iterations,
                     evals,
+                    line_search_backtracks,
                     params,
                     best_params,
                     best_overflow,
                     solver,
+                    density_term,
                     lambda,
                     gamma,
                     gamma_boost,
@@ -1445,15 +1480,19 @@ pub fn deserialize<T: Float>(text: &str) -> Result<CheckpointData<T>, Checkpoint
 
     // Cross-field invariants the reader can check cheaply.
     if let CheckpointStage::Gp { engine, .. } = &stage {
-        if engine.params.len() != 2 * design.movable {
-            return Err(CheckpointError::Corrupt {
-                line: 0,
-                reason: format!(
-                    "parameter vector length {} does not match 2 x {} movable cells",
-                    engine.params.len(),
-                    design.movable
-                ),
-            });
+        let dterm = engine.density_term.as_ref();
+        let lens = std::iter::once(("parameter", engine.params.len()))
+            .chain(dterm.map(|t| ("density gradient", t.grad.len())));
+        for (what, len) in lens {
+            if len != 2 * design.movable {
+                return Err(CheckpointError::Corrupt {
+                    line: 0,
+                    reason: format!(
+                        "{what} vector length {len} does not match 2 x {} movable cells",
+                        design.movable
+                    ),
+                });
+            }
         }
     }
 
@@ -1518,6 +1557,32 @@ mod tests {
         assert_eq!(text, serialize(&back));
         assert!(matches!(back.stage, CheckpointStage::Gp { .. }));
         assert_eq!(back.design.name, "ckpt test");
+    }
+
+    #[test]
+    fn gp_checkpoint_carries_the_density_term_whole_or_not_at_all() {
+        let data = gp_checkpoint();
+        let CheckpointStage::Gp { engine, .. } = &data.stage else {
+            panic!("expected a GP-stage checkpoint");
+        };
+        let term = engine.density_term.as_ref().expect("density term at v");
+        assert_eq!(term.grad.len(), engine.params.len());
+
+        // Dropping the energy but keeping the gradient is a schema error.
+        let text = serialize(&data);
+        let payload_start = text.find("\ncrc 0x").unwrap() + 1 + "crc 0x00000000\n".len();
+        let payload = &text[payload_start..];
+        let line = payload
+            .lines()
+            .find(|l| l.starts_with("vec dterm.energy "))
+            .expect("energy record");
+        let tampered = payload.replacen(line, "vec dterm.energy none", 1);
+        let crc = crc32(tampered.as_bytes());
+        let fixed = format!("{MAGIC} v{VERSION}\ncrc {crc:#010x}\n{tampered}");
+        match deserialize::<f64>(&fixed) {
+            Err(CheckpointError::Corrupt { .. }) => {}
+            other => panic!("want Corrupt, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1605,7 +1670,7 @@ mod tests {
     #[test]
     fn newer_version_is_rejected_as_skew() {
         let text = serialize(&gp_checkpoint());
-        let text = text.replacen("DPCKPT v1", "DPCKPT v99", 1);
+        let text = text.replacen(&format!("{MAGIC} v{VERSION}"), "DPCKPT v99", 1);
         match deserialize::<f64>(&text) {
             Err(CheckpointError::VersionSkew {
                 found: 99,

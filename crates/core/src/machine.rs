@@ -987,6 +987,8 @@ impl<'d, T: Float> FlowMachine<'d, T> {
                     recoveries: total_recoveries,
                     recovery_events: Vec::new(),
                     exec,
+                    objective_evals: 0,
+                    line_search_backtracks: 0,
                 };
                 self.gp_fallback = Some(GpFallback::BestSoFar {
                     cause,
@@ -1049,6 +1051,12 @@ impl<'d, T: Float> FlowMachine<'d, T> {
             }
             None => {}
         }
+        self.tel.meta(
+            "gp.evals_per_iter",
+            format!("{:.2}", gp_stats.evals_per_iteration()),
+        );
+        self.tel
+            .meta("gp.line_search_backtracks", gp_stats.line_search_backtracks);
         self.tel.workspaces(
             gp_stats
                 .exec

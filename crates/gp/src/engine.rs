@@ -100,6 +100,23 @@ pub struct GpStats {
     /// Execution-layer counters: pool spawns/runs, per-op totals, and
     /// workspace reuse, from the run's [`ExecCtx`].
     pub exec: ExecSummary,
+    /// Objective evaluations the solver requested (reference point plus
+    /// line-search probes, across rollbacks).
+    pub objective_evals: usize,
+    /// Line-search backtracks summed over all solver steps (Nesterov
+    /// only; 0 for the other engines).
+    pub line_search_backtracks: usize,
+}
+
+impl GpStats {
+    /// Objective evaluations per GP iteration (0 before the first one).
+    pub fn evals_per_iteration(&self) -> f64 {
+        if self.iterations == 0 {
+            0.0
+        } else {
+            self.objective_evals as f64 / self.iterations as f64
+        }
+    }
 }
 
 /// Result of global placement: coordinates plus statistics.
@@ -196,8 +213,10 @@ struct PlacementObjective<'a, T: Float> {
     lambda: T,
     pos: &'a mut Placement<T>,
     grad: &'a mut Gradient<T>,
-    /// Reused density-gradient accumulator (allocated once per run).
+    /// Reused density-gradient accumulator (allocated once per run); holds
+    /// the gradient of the evaluation `dcache` is keyed on.
     dgrad: &'a mut Gradient<T>,
+    dcache: &'a mut DensityCache<T>,
     /// Precomputed `#pins` per movable cell (wirelength preconditioner).
     pin_counts: &'a [T],
     /// Precomputed charge per movable cell (density preconditioner).
@@ -242,11 +261,24 @@ impl<'a, T: Float> ObjectiveFn<T> for PlacementObjective<'a, T> {
             .forward_backward(self.nl, self.pos, self.grad, self.ctx);
         *self.t_wl += t0.elapsed();
 
+        // The density term depends on positions alone (not on lambda or
+        // gamma), so at the point of the previous density evaluation it is
+        // reused bit for bit instead of recomputed.
         let t1 = Instant::now();
-        self.dgrad.reset();
-        let d_cost = self
-            .density
-            .forward_backward(self.nl, self.pos, self.dgrad, self.ctx);
+        let d_cost = match self.dcache.lookup(params) {
+            Some(energy) => {
+                self.ctx.record_op_nanos("density.reuse", 0);
+                energy
+            }
+            None => {
+                self.dgrad.reset();
+                let energy = self
+                    .density
+                    .forward_backward(self.nl, self.pos, self.dgrad, self.ctx);
+                self.dcache.store(params, energy);
+                energy
+            }
+        };
         self.grad.axpy(self.lambda, self.dgrad);
         *self.t_density += t1.elapsed();
 
@@ -262,6 +294,51 @@ impl<'a, T: Float> ObjectiveFn<T> for PlacementObjective<'a, T> {
         }
         wl_cost + self.lambda * d_cost
     }
+}
+
+/// The last density evaluation's params (compared bitwise) and energy.
+/// Its gradient is not copied: it stays in the engine's `dgrad` buffer,
+/// which only a density evaluation writes.
+#[derive(Default)]
+struct DensityCache<T> {
+    key: Vec<T>,
+    /// `None` when the cache is empty.
+    energy: Option<T>,
+}
+
+impl<T: Float> DensityCache<T> {
+    /// The cached energy if `params` is bitwise the cached point.
+    fn lookup(&self, params: &[T]) -> Option<T> {
+        let energy = self.energy?;
+        let same = self.key.len() == params.len()
+            && self
+                .key
+                .iter()
+                .zip(params)
+                .all(|(a, b)| a.to_f64().to_bits() == b.to_f64().to_bits());
+        same.then_some(energy)
+    }
+
+    fn store(&mut self, params: &[T], energy: T) {
+        self.key.clear();
+        self.key.extend_from_slice(params);
+        self.energy = Some(energy);
+    }
+
+    fn invalidate(&mut self) {
+        self.energy = None;
+    }
+}
+
+/// A density evaluation carried across a checkpoint: the term cached at
+/// the solver's next evaluation point (see [`GpEngineState::density_term`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct DensityTerm<T> {
+    /// Raw density gradient (before lambda scaling and preconditioning)
+    /// in the flat parameter layout `[x_mov..., y_mov...]`.
+    pub grad: Vec<T>,
+    /// Density energy `D`.
+    pub energy: T,
 }
 
 /// Everything needed to roll the run back to a known-good iterate — the
@@ -303,6 +380,8 @@ pub struct GpEngineState<T> {
     pub iterations: usize,
     /// Objective evaluations performed (drives fault injection replay).
     pub evals: usize,
+    /// Line-search backtracks summed over all solver steps so far.
+    pub line_search_backtracks: usize,
     /// Current flat parameter vector.
     pub params: Vec<T>,
     /// Lowest-overflow parameter vector seen.
@@ -311,6 +390,11 @@ pub struct GpEngineState<T> {
     pub best_overflow: f64,
     /// Solver state.
     pub solver: OptimizerSnapshot<T>,
+    /// The density term at the solver's reference point `v`, which the
+    /// next step evaluates first. Present only when the engine's density
+    /// cache holds exactly that point, so a resumed run skips the same
+    /// density evaluation the uninterrupted run skips.
+    pub density_term: Option<DensityTerm<T>>,
     /// Density weight currently applied in the objective.
     pub lambda: T,
     /// Smoothing gamma currently applied in the wirelength model.
@@ -403,6 +487,7 @@ pub struct GpEngine<T: Float> {
     pos: Placement<T>,
     grad: Gradient<T>,
     dgrad: Gradient<T>,
+    dcache: DensityCache<T>,
     pin_counts: Vec<T>,
     charges: Vec<T>,
     faults: Vec<usize>,
@@ -419,6 +504,7 @@ pub struct GpEngine<T: Float> {
     best_overflow: f64,
     rollback: GpRollbackState<T>,
     evals: usize,
+    backtracks: usize,
     t_wl: Duration,
     t_density: Duration,
     prev_op_time: Duration,
@@ -495,7 +581,7 @@ impl<T: Float> GpEngine<T> {
         if let InitKind::WirelengthOnly { iters } = cfg.init {
             let mut scratch = pos.clone();
             let mut grad = Gradient::zeros(pos.len());
-            let mut params = pack(&pos, n);
+            let mut params = pack(&pos.x, &pos.y, n);
             let mut solver = ConjugateGradient::new(2 * n, bin_size);
             let mut wl_only = |p: &[T], g: &mut [T]| -> T {
                 scratch.x[..n].copy_from_slice(&p[..n]);
@@ -513,7 +599,7 @@ impl<T: Float> GpEngine<T> {
                 let _ = solver.step(&mut wl_only, &mut params);
                 clamp_params(&mut params, nl);
             }
-            unpack_into(&params, &mut pos, n);
+            unpack_into(&params, &mut pos.x, &mut pos.y, n);
         }
         timing.init = t_init.elapsed();
 
@@ -549,7 +635,7 @@ impl<T: Float> GpEngine<T> {
         );
 
         let lambda = lambda_sched.lambda();
-        let params = pack(&pos, n);
+        let params = pack(&pos.x, &pos.y, n);
         let solver = make_solver(cfg.solver, 2 * n, bin_size);
         let best_params = params.clone();
         let rollback = GpRollbackState {
@@ -581,6 +667,7 @@ impl<T: Float> GpEngine<T> {
             lambda_cut: T::ONE,
             grad: Gradient::zeros(pos.len()),
             dgrad: Gradient::zeros(pos.len()),
+            dcache: DensityCache::default(),
             pos,
             pin_counts,
             charges,
@@ -598,6 +685,7 @@ impl<T: Float> GpEngine<T> {
             best_overflow: f64::INFINITY,
             rollback,
             evals: 0,
+            backtracks: 0,
             t_wl: Duration::ZERO,
             t_density: Duration::ZERO,
             prev_op_time: Duration::ZERO,
@@ -606,7 +694,7 @@ impl<T: Float> GpEngine<T> {
             consumed_before: 0.0,
             base_exec: None,
             n,
-        finished: None,
+            finished: None,
         })
     }
 
@@ -667,6 +755,31 @@ impl<T: Float> GpEngine<T> {
                 reason: e.to_string(),
             })?;
 
+        // Rekey the carried density term to the reference point the
+        // restored solver evaluates first.
+        let mut dgrad = Gradient::zeros(fixed.len());
+        let mut dcache = DensityCache::default();
+        if let Some(term) = &state.density_term {
+            let v = match &state.solver {
+                OptimizerSnapshot::Nesterov { v: Some(v), .. } if v.len() == 2 * n => v,
+                _ => {
+                    return Err(GpError::Resume {
+                        reason: "density term without a matching solver reference point".into(),
+                    })
+                }
+            };
+            if term.grad.len() != 2 * n {
+                return Err(GpError::Resume {
+                    reason: format!(
+                        "density gradient length {} does not match 2 x {n} movable cells",
+                        term.grad.len()
+                    ),
+                });
+            }
+            unpack_into(&term.grad, &mut dgrad.x, &mut dgrad.y, n);
+            dcache.store(v, term.energy);
+        }
+
         let faults = cfg.fault_injection.nan_grad_evals.clone();
         Ok(Self {
             cfg,
@@ -682,7 +795,8 @@ impl<T: Float> GpEngine<T> {
             lambda_cut: state.lambda_cut,
             pos: fixed.clone(),
             grad: Gradient::zeros(fixed.len()),
-            dgrad: Gradient::zeros(fixed.len()),
+            dgrad,
+            dcache,
             pin_counts,
             charges,
             faults,
@@ -699,6 +813,7 @@ impl<T: Float> GpEngine<T> {
             best_overflow: state.best_overflow,
             rollback: state.rollback,
             evals: state.evals,
+            backtracks: state.line_search_backtracks,
             t_wl: Duration::ZERO,
             t_density: Duration::ZERO,
             prev_op_time: Duration::ZERO,
@@ -792,14 +907,25 @@ impl<T: Float> GpEngine<T> {
 
     /// Captures the complete mutable state; see [`GpEngineState`].
     pub fn state(&self) -> GpEngineState<T> {
+        let solver = self.solver.snapshot();
+        let density_term = match &solver {
+            OptimizerSnapshot::Nesterov { v: Some(v), .. } => self.dcache.lookup(v),
+            _ => None,
+        }
+        .map(|energy| DensityTerm {
+            grad: pack(&self.dgrad.x, &self.dgrad.y, self.n),
+            energy,
+        });
         GpEngineState {
             next_iter: self.next_iter,
             iterations: self.iterations,
             evals: self.evals,
+            line_search_backtracks: self.backtracks,
             params: self.params.clone(),
             best_params: self.best_params.clone(),
             best_overflow: self.best_overflow,
-            solver: self.solver.snapshot(),
+            solver,
+            density_term,
             lambda: self.lambda,
             gamma: self.gamma_cur,
             gamma_boost: self.gamma_boost,
@@ -859,7 +985,7 @@ impl<T: Float> GpEngine<T> {
         let _iter_span = tel.span(dp_telemetry::SpanKind::Iteration, "gp.iter");
         let t_step = Instant::now();
 
-        let (info, cause, cur_hpwl, overflow_f) = {
+        let (cause, cur_hpwl, overflow_f) = {
             let mut obj = PlacementObjective {
                 nl,
                 wl: &mut self.wl,
@@ -869,6 +995,7 @@ impl<T: Float> GpEngine<T> {
                 pos: &mut self.pos,
                 grad: &mut self.grad,
                 dgrad: &mut self.dgrad,
+                dcache: &mut self.dcache,
                 pin_counts: &self.pin_counts,
                 charges: &self.charges,
                 faults: &self.faults,
@@ -877,6 +1004,7 @@ impl<T: Float> GpEngine<T> {
                 evals: &mut self.evals,
             };
             let info = self.solver.step(&mut obj, &mut self.params);
+            self.backtracks += info.backtracks;
             clamp_params(&mut self.params, nl);
 
             // --- divergence tripwire ------------------------------------
@@ -912,9 +1040,8 @@ impl<T: Float> GpEngine<T> {
                     (c, h, o)
                 }
             };
-            (info, cause, cur_hpwl, overflow_f)
+            (cause, cur_hpwl, overflow_f)
         };
-        let _ = info;
         let step_elapsed = t_step.elapsed();
 
         // Phase attribution: operator time accumulates inside eval;
@@ -930,7 +1057,7 @@ impl<T: Float> GpEngine<T> {
             let policy = &self.cfg.recovery;
             if self.recoveries >= policy.max_recoveries {
                 let mut best = self.pos.clone();
-                unpack_into(&self.best_params, &mut best, self.n);
+                unpack_into(&self.best_params, &mut best.x, &mut best.y, self.n);
                 let exec = self.cumulative_exec();
                 return Err(GpError::Diverged {
                     iteration: k,
@@ -945,6 +1072,7 @@ impl<T: Float> GpEngine<T> {
             // smaller density weight, smoother wirelength.
             self.recoveries += 1;
             self.params.copy_from_slice(&self.rollback.params);
+            self.dcache.invalidate();
             if self.solver.restore(&self.rollback.solver).is_err() {
                 self.solver.reset();
             }
@@ -1049,7 +1177,7 @@ impl<T: Float> GpEngine<T> {
     pub fn finish(mut self, nl: &Netlist<T>) -> GpResult<T> {
         let n = self.n;
         let mut pos = self.pos;
-        unpack_into(&self.params, &mut pos, n);
+        unpack_into(&self.params, &mut pos.x, &mut pos.y, n);
         self.timing.total = Duration::from_secs_f64(self.consumed_before) + self.busy;
 
         let mut exec = self.ctx.summary();
@@ -1066,6 +1194,8 @@ impl<T: Float> GpEngine<T> {
             recoveries: self.recoveries,
             recovery_events: self.recovery_events,
             exec,
+            objective_evals: self.evals,
+            line_search_backtracks: self.backtracks,
         };
         GpResult {
             placement: pos,
@@ -1121,16 +1251,19 @@ impl<T: Float> GlobalPlacer<T> {
     }
 }
 
-fn pack<T: Float>(pos: &Placement<T>, n: usize) -> Vec<T> {
-    let mut params = Vec::with_capacity(2 * n);
-    params.extend_from_slice(&pos.x[..n]);
-    params.extend_from_slice(&pos.y[..n]);
-    params
+/// Packs the movable entries of an `x`/`y` pair (positions or a
+/// gradient) into the flat layout `[x_mov..., y_mov...]`.
+fn pack<T: Float>(x: &[T], y: &[T], n: usize) -> Vec<T> {
+    let mut flat = Vec::with_capacity(2 * n);
+    flat.extend_from_slice(&x[..n]);
+    flat.extend_from_slice(&y[..n]);
+    flat
 }
 
-fn unpack_into<T: Float>(params: &[T], pos: &mut Placement<T>, n: usize) {
-    pos.x[..n].copy_from_slice(&params[..n]);
-    pos.y[..n].copy_from_slice(&params[n..]);
+/// Inverse of [`pack`]: overwrites the movable entries of `x` and `y`.
+fn unpack_into<T: Float>(flat: &[T], x: &mut [T], y: &mut [T], n: usize) {
+    x[..n].copy_from_slice(&flat[..n]);
+    y[..n].copy_from_slice(&flat[n..]);
 }
 
 /// Clamps movable cell centers into the region (half a cell inside).
@@ -1336,6 +1469,68 @@ mod tests {
         assert_eq!(a.stats.recoveries, b.stats.recoveries);
         assert_eq!(a.stats.final_hpwl, b.stats.final_hpwl);
         assert_eq!(a.placement.x, b.placement.x);
+    }
+
+    fn op_calls(stats: &GpStats, name: &str) -> u64 {
+        stats
+            .exec
+            .ops
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or(0, |(_, c)| c.calls)
+    }
+
+    /// One density evaluation per iteration: every objective evaluation
+    /// either runs the density operator or reuses the previous one, and
+    /// nearly every step starts at the point its predecessor's line
+    /// search evaluated last.
+    #[test]
+    fn density_term_is_evaluated_once_per_iteration() {
+        let d = small_design();
+        let r = GlobalPlacer::new(quick_config(&d.netlist))
+            .place(&d.netlist, &d.fixed_positions)
+            .expect("ok");
+        let s = &r.stats;
+        let forward = op_calls(s, "density.forward");
+        let reuse = op_calls(s, "density.reuse");
+        // A clean run evaluates only finite points; the extra forward call
+        // is the density-weight initialization, outside the solver.
+        assert_eq!(forward + reuse, s.objective_evals as u64 + 1);
+        assert!(
+            reuse as f64 >= 0.9 * s.iterations as f64,
+            "{reuse} reuses in {} iterations",
+            s.iterations
+        );
+        assert_eq!(op_calls(s, "wa.forward_backward"), forward + reuse);
+    }
+
+    /// Rollbacks drop the cached density term, so a faulted run reuses it
+    /// at most once per iteration that neither starts the run nor
+    /// follows a rollback, and still replays bit for bit.
+    #[test]
+    fn rollback_invalidates_the_density_cache() {
+        let d = small_design();
+        let mut cfg = quick_config(&d.netlist);
+        cfg.fault_injection.nan_grad_evals = (60..72).collect();
+        cfg.recovery.max_recoveries = 8;
+        let a = GlobalPlacer::new(cfg.clone())
+            .place(&d.netlist, &d.fixed_positions)
+            .expect("ok");
+        let b = GlobalPlacer::new(cfg)
+            .place(&d.netlist, &d.fixed_positions)
+            .expect("ok");
+        assert!(a.stats.recoveries >= 1);
+        assert_eq!(a.placement.x, b.placement.x);
+        assert_eq!(a.placement.y, b.placement.y);
+        assert_eq!(a.stats.history, b.stats.history);
+        let reuse = op_calls(&a.stats, "density.reuse");
+        assert_eq!(reuse, op_calls(&b.stats, "density.reuse"));
+        assert!(
+            reuse as usize <= a.stats.iterations - 1 - a.stats.recoveries,
+            "{reuse} reuses, {} iterations, {} recoveries",
+            a.stats.iterations,
+            a.stats.recoveries
+        );
     }
 
     /// With a zero recovery budget the structured error surfaces, carrying

@@ -19,9 +19,7 @@
 
 use dp_num::Float;
 
-use crate::{
-    inf_norm, l2_norm, ObjectiveFn, Optimizer, OptimizerSnapshot, SnapshotMismatch, StepInfo,
-};
+use crate::{inf_norm, ObjectiveFn, Optimizer, OptimizerSnapshot, SnapshotMismatch, StepInfo};
 
 /// The ePlace Nesterov solver; see the [module docs](self) and the
 /// [crate example](crate).
@@ -41,6 +39,15 @@ pub struct NesterovOptimizer<T> {
     v_prev: Option<Vec<T>>,
     /// Current step size.
     alpha: T,
+    /// Per-step scratch, kept across steps so a step allocates nothing
+    /// once the state vectors exist: the gradient at `v_k`, the gradient
+    /// at the tentative point, and the tentative major/reference points.
+    /// After a step each buffer holds a stale copy of a rotated-out state
+    /// vector; none is part of the solver state.
+    g: Vec<T>,
+    g_new: Vec<T>,
+    u_new: Vec<T>,
+    v_new: Vec<T>,
 }
 
 impl<T: Float> NesterovOptimizer<T> {
@@ -60,6 +67,10 @@ impl<T: Float> NesterovOptimizer<T> {
             g_prev: None,
             v_prev: None,
             alpha: initial_step,
+            g: Vec::new(),
+            g_new: Vec::new(),
+            u_new: Vec::new(),
+            v_new: Vec::new(),
         }
     }
 
@@ -96,56 +107,73 @@ impl<T: Float> NesterovOptimizer<T> {
 impl<T: Float> Optimizer<T> for NesterovOptimizer<T> {
     fn step(&mut self, f: &mut dyn ObjectiveFn<T>, params: &mut [T]) -> StepInfo<T> {
         let n = params.len();
-        let v = self.v.get_or_insert_with(|| params.to_vec());
+        let Self {
+            max_backtracks,
+            a,
+            v,
+            u_prev,
+            g_prev,
+            v_prev,
+            alpha: step_alpha,
+            g,
+            g_new,
+            u_new,
+            v_new,
+            ..
+        } = self;
+        let v = v.get_or_insert_with(|| params.to_vec());
         assert_eq!(v.len(), n, "parameter length changed between steps");
 
-        let mut g = vec![T::ZERO; n];
-        let cost = f.eval(v, &mut g);
-        let grad_norm = inf_norm(&g);
+        zeroed(g, n);
+        let cost = f.eval(v, g);
+        let grad_norm = inf_norm(g);
 
         // Predict the step size from the previous reference/gradient pair.
-        if let (Some(vp), Some(gp)) = (&self.v_prev, &self.g_prev) {
-            if let Some(a) = Self::lipschitz_step(v, vp, &g, gp) {
-                self.alpha = a;
+        if let (Some(vp), Some(gp)) = (v_prev.as_deref(), g_prev.as_deref()) {
+            if let Some(a) = Self::lipschitz_step(v, vp, g, gp) {
+                *step_alpha = a;
             }
         }
 
-        let u_prev = self.u_prev.clone().unwrap_or_else(|| v.clone());
-        let a_next = (T::ONE + (T::from_f64(4.0) * self.a * self.a + T::ONE).sqrt()) * T::HALF;
-        let coef = (self.a - T::ONE) / a_next;
+        let a_next = (T::ONE + (T::from_f64(4.0) * *a * *a + T::ONE).sqrt()) * T::HALF;
+        let coef = (*a - T::ONE) / a_next;
 
         let mut backtracks = 0usize;
-        let mut alpha = self.alpha;
-        let (u_new, v_new) = loop {
+        let mut alpha = *step_alpha;
+        let u_old: &[T] = u_prev.as_deref().unwrap_or(v);
+        u_new.resize(n, T::ZERO);
+        v_new.resize(n, T::ZERO);
+        loop {
             // Tentative major and reference points.
-            let mut u_new = vec![T::ZERO; n];
-            let mut v_new = vec![T::ZERO; n];
             for i in 0..n {
                 u_new[i] = v[i] - alpha * g[i];
-                v_new[i] = u_new[i] + coef * (u_new[i] - u_prev[i]);
+                v_new[i] = u_new[i] + coef * (u_new[i] - u_old[i]);
             }
-            if backtracks >= self.max_backtracks {
-                break (u_new, v_new);
+            if backtracks >= *max_backtracks {
+                break;
             }
             // Evaluate the Lipschitz estimate at the tentative point; accept
             // when the applied step does not exceed it (with 5% slack).
-            let mut g_new = vec![T::ZERO; n];
-            let _ = f.eval(&v_new, &mut g_new);
-            match Self::lipschitz_step(&v_new, v, &g_new, &g) {
+            zeroed(g_new, n);
+            let _ = f.eval(v_new, g_new);
+            match Self::lipschitz_step(v_new, v, g_new, g) {
                 Some(a_hat) if alpha > a_hat * T::from_f64(1.05) && a_hat > T::ZERO => {
                     alpha = a_hat;
                     backtracks += 1;
                 }
-                _ => break (u_new, v_new),
+                _ => break,
             }
-        };
-        self.alpha = alpha;
+        }
+        *step_alpha = alpha;
 
-        params.copy_from_slice(&u_new);
-        self.u_prev = Some(u_new);
-        self.v_prev = Some(std::mem::replace(v, v_new));
-        self.g_prev = Some(g);
-        self.a = a_next;
+        // Rotate buffers: u_new -> u_prev, v -> v_prev, v_new -> v,
+        // g -> g_prev; each scratch takes the buffer it displaced.
+        params.copy_from_slice(u_new);
+        rotate(u_prev, u_new);
+        std::mem::swap(v, v_new);
+        rotate(v_prev, v_new);
+        rotate(g_prev, g);
+        *a = a_next;
 
         StepInfo {
             cost,
@@ -205,11 +233,19 @@ impl<T: Float> Optimizer<T> for NesterovOptimizer<T> {
     }
 }
 
-/// Convenience: Euclidean distance between two equal-length vectors.
-#[allow(dead_code)]
-fn distance<T: Float>(a: &[T], b: &[T]) -> T {
-    let diff: Vec<T> = a.iter().zip(b).map(|(&x, &y)| x - y).collect();
-    l2_norm(&diff)
+/// Clears `buf` to `n` zeros, reusing its allocation.
+fn zeroed<T: Float>(buf: &mut Vec<T>, n: usize) {
+    buf.clear();
+    buf.resize(n, T::ZERO);
+}
+
+/// Moves `scratch` into `slot`; the slot's previous buffer (if any)
+/// becomes the new scratch.
+fn rotate<T>(slot: &mut Option<Vec<T>>, scratch: &mut Vec<T>) {
+    match slot {
+        Some(buf) => std::mem::swap(buf, scratch),
+        None => *slot = Some(std::mem::take(scratch)),
+    }
 }
 
 #[cfg(test)]
@@ -291,6 +327,56 @@ mod tests {
         let mut g = vec![0.0; 2];
         let cost = crate::tests::rosenbrock(&p, &mut g);
         assert!(cost < 1.0, "cost {cost} at {p:?}");
+    }
+
+    /// Records every evaluation point, then defers to `inner`.
+    struct Recording<F> {
+        inner: F,
+        points: Vec<Vec<f64>>,
+    }
+
+    impl<F: FnMut(&[f64], &mut [f64]) -> f64> ObjectiveFn<f64> for Recording<F> {
+        fn eval(&mut self, params: &[f64], grad: &mut [f64]) -> f64 {
+            self.points.push(params.to_vec());
+            (self.inner)(params, grad)
+        }
+    }
+
+    /// The first evaluation of step k+1 is at bitwise the point of the
+    /// last evaluation of step k whenever backtracking stopped before the
+    /// cap: the contract that lets an objective reuse work keyed on it.
+    #[test]
+    fn next_step_starts_at_the_last_evaluated_point() {
+        let cap = 2;
+        let (bowl, _) = crate::tests::quadratic_bowl();
+        let mut f = Recording {
+            inner: bowl,
+            points: Vec::new(),
+        };
+        // On this bowl most steps backtrack once and some reach the cap.
+        let mut opt = NesterovOptimizer::new(4, 0.1).with_max_backtracks(cap);
+        let mut p = vec![0.0; 4];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (mut checked, mut checked_after_backtrack, mut capped) = (0, 0, 0);
+        let mut prev: Option<(usize, Vec<f64>)> = None;
+        for _ in 0..300 {
+            let start = f.points.len();
+            let info = opt.step(&mut f, &mut p);
+            if let Some((backtracks, last)) = prev.take() {
+                if backtracks < cap {
+                    assert_eq!(bits(&f.points[start]), bits(&last));
+                    checked += 1;
+                    checked_after_backtrack += usize::from(backtracks > 0);
+                } else {
+                    capped += 1;
+                }
+            }
+            let last = f.points.last().expect("step evaluates").clone();
+            prev = Some((info.backtracks, last));
+        }
+        assert!(checked > 200, "{checked} steps checked");
+        assert!(checked_after_backtrack > 0, "no backtracking step checked");
+        assert!(capped > 0, "the cap was never hit");
     }
 
     #[test]

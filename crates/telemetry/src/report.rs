@@ -203,19 +203,20 @@ impl RunReport {
             out.push('\n');
         }
         if !self.kernels.is_empty() {
+            // Pure counters (recorded with zero time, like `density.reuse`)
+            // never make a by-time cut, so they are always listed after it.
+            let (timed, counters): (Vec<_>, Vec<_>) =
+                self.kernels.iter().partition(|(_, _, nanos)| *nanos > 0);
             let _ = writeln!(out, "\ntop kernels by time");
             let _ = writeln!(out, "  {:<26} {:>9} {:>12}", "kernel", "calls", "total");
-            for (name, calls, nanos) in self.kernels.iter().take(10) {
-                let _ = writeln!(
-                    out,
-                    "  {:<26} {:>9} {:>12}",
-                    name,
-                    calls,
-                    fmt_nanos(*nanos)
-                );
+            for (name, calls, nanos) in timed.iter().take(10) {
+                let _ = writeln!(out, "  {:<26} {:>9} {:>12}", name, calls, fmt_nanos(*nanos));
             }
-            if self.kernels.len() > 10 {
-                let _ = writeln!(out, "  ... and {} more", self.kernels.len() - 10);
+            if timed.len() > 10 {
+                let _ = writeln!(out, "  ... and {} more", timed.len() - 10);
+            }
+            for (name, calls, _) in counters {
+                let _ = writeln!(out, "  {:<26} {:>9} {:>12}", name, calls, "(count)");
             }
         }
         if self.workspace_uses > 0 {
@@ -396,6 +397,29 @@ mod tests {
         let text = r.render();
         assert!(text.contains("degradations: 1"));
         assert!(text.contains("top kernels by time"));
+    }
+
+    #[test]
+    fn zero_time_counters_are_listed_past_the_top_ten() {
+        let mut evs: Vec<TraceEvent> = (0..12)
+            .map(|i| TraceEvent::Kernel {
+                name: Cow::Owned(format!("k{i}")),
+                calls: 1,
+                nanos: 100 + i,
+            })
+            .collect();
+        evs.push(TraceEvent::Kernel {
+            name: Cow::Borrowed("density.reuse"),
+            calls: 7,
+            nanos: 0,
+        });
+        let text = RunReport::from_events(&evs).render();
+        assert!(text.contains("... and 2 more"), "{text}");
+        let row = text
+            .lines()
+            .find(|l| l.contains("density.reuse"))
+            .expect("counter row");
+        assert!(row.contains(" 7 ") && row.ends_with("(count)"), "{row}");
     }
 
     #[test]

@@ -528,6 +528,11 @@ fn cmd_place(args: &Args) -> Result<(), String> {
         result.timing.dp,
         result.timing.total
     );
+    println!(
+        "GP solver: {:.2} objective evals/iter, {} line-search backtracks",
+        result.gp.evals_per_iteration(),
+        result.gp.line_search_backtracks
+    );
     println!("HPWL {:.6e}", result.hpwl_final);
     if !result.sanitize.is_clean() {
         println!("sanitizer: {}", result.sanitize);
